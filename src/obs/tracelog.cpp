@@ -1,6 +1,7 @@
 #include "src/obs/tracelog.hpp"
 
 #include <algorithm>
+#include <cmath>
 #include <cstring>
 
 #include "src/obs/json.hpp"
@@ -19,6 +20,9 @@ constexpr std::size_t kNotePayloadMin = 13;
 // length field before it turns into a giant allocation.
 constexpr std::uint32_t kMaxPayload = 1u << 24;
 constexpr std::size_t kFlushThreshold = 1u << 20;
+// Largest header count (processes, messages, shards, workers) the
+// reader turns into a size; a hostile header cannot ask for more.
+constexpr double kMaxHeaderCount = 1 << 24;
 
 void put_u8(std::string& out, std::uint8_t v) {
   out.push_back(static_cast<char>(v));
@@ -69,6 +73,38 @@ double get_f64(const char* p) {
 
 void fail(std::string* error, std::string message) {
   if (error != nullptr) *error = std::move(message);
+}
+
+/// Why a decoded record cannot be indexed under `header`: a kind byte
+/// outside its enum, or a process id the header does not declare (the
+/// queries size per-process tables from these).  Empty when it can.
+std::string out_of_range(const TraceLogRecord& rec,
+                         const TraceLogHeader& header) {
+  const auto process = [&header](const char* what, ProcessId p) {
+    if (p < header.n_processes) return std::string();
+    return std::string(what) + " " + std::to_string(p) + " >= n_processes " +
+           std::to_string(header.n_processes);
+  };
+  switch (rec.type) {
+    case TraceLogRecord::Type::kEvent: {
+      const auto kind = static_cast<unsigned>(rec.event.kind);
+      if (kind > static_cast<unsigned>(EventKind::kDeliver)) {
+        return "event kind " + std::to_string(kind) + " out of range";
+      }
+      std::string bad = process("event process", rec.process);
+      return bad.empty() ? process("event peer", rec.peer) : bad;
+    }
+    case TraceLogRecord::Type::kHold: {
+      const auto kind = static_cast<unsigned>(rec.reason.kind);
+      if (kind >= kHoldKindCount) {
+        return "hold kind " + std::to_string(kind) + " out of range";
+      }
+      return process("hold process", rec.process);
+    }
+    case TraceLogRecord::Type::kNote:
+      break;
+  }
+  return "";
 }
 
 }  // namespace
@@ -237,16 +273,35 @@ bool TraceLogStream::open(const std::string& path, std::string* error) {
   }
   header_.engine = doc->string_at("engine").value_or("");
   header_.protocol = doc->string_at("protocol").value_or("");
-  header_.n_processes =
-      static_cast<std::size_t>(doc->number_at("n_processes").value_or(0));
-  header_.n_messages =
-      static_cast<std::size_t>(doc->number_at("n_messages").value_or(0));
-  header_.seed =
-      static_cast<std::uint64_t>(doc->number_at("seed").value_or(0));
-  header_.shards =
-      static_cast<std::size_t>(doc->number_at("shards").value_or(1));
-  header_.workers =
-      static_cast<std::size_t>(doc->number_at("workers").value_or(1));
+  // Counts become sizes, so only finite non-negative integers up to
+  // kMaxHeaderCount pass; an absent count keeps its default.
+  const JsonValue& fields = *doc;
+  const auto count = [&](std::string_view key, std::size_t* out) {
+    const double v =
+        fields.number_at(key).value_or(static_cast<double>(*out));
+    if (!(v >= 0 && v <= kMaxHeaderCount) || v != std::floor(v)) {
+      fail(error, path + ": header " + std::string(key) +
+                      " is not an integer in [0, 2^24]");
+      return false;
+    }
+    *out = static_cast<std::size_t>(v);
+    return true;
+  };
+  if (!count("n_processes", &header_.n_processes) ||
+      !count("n_messages", &header_.n_messages) ||
+      !count("shards", &header_.shards) ||
+      !count("workers", &header_.workers)) {
+    return false;
+  }
+  // The seed is a u64 carried as a JSON double: large seeds round, and
+  // one that rounds up to 2^64 saturates rather than overflowing.
+  const double seed = fields.number_at("seed").value_or(0);
+  if (!(seed >= 0) || std::isinf(seed)) {
+    fail(error, path + ": header seed is not a non-negative number");
+    return false;
+  }
+  header_.seed = seed >= 0x1p64 ? ~std::uint64_t{0}
+                                : static_cast<std::uint64_t>(seed);
   header_.lookahead = doc->number_at("lookahead").value_or(0);
   return true;
 }
@@ -285,7 +340,7 @@ int TraceLogStream::next(TraceLogRecord* out, std::string* error) {
       out->time = get_f64(p + 18);
       out->tiebreak = get_u64(p + 26);
       out->lamport = get_u64(p + 34);
-      return 1;
+      break;
     }
     case 1: {
       if (len != kHoldPayload) {
@@ -301,7 +356,7 @@ int TraceLogStream::next(TraceLogRecord* out, std::string* error) {
       if ((flags & 2) != 0) out->reason.blocking_proc = get_u32(p + 15);
       out->time = get_f64(p + 19);
       out->tiebreak = get_u64(p + 27);
-      return 1;
+      break;
     }
     case 2: {
       if (len < kNotePayloadMin) {
@@ -316,12 +371,18 @@ int TraceLogStream::next(TraceLogRecord* out, std::string* error) {
         return -1;
       }
       out->note.assign(p + 13, text_len);
-      return 1;
+      break;
     }
     default:
       fail(error, "unknown record type");
       return -1;
   }
+  if (std::string bad = out_of_range(*out, header_); !bad.empty()) {
+    fail(error, "record " + std::to_string(records_read_) + ": " + bad);
+    return -1;
+  }
+  ++records_read_;
+  return 1;
 }
 
 std::optional<LoadedTraceLog> load_tracelog(const std::string& path,

@@ -156,19 +156,25 @@ class TraceLogWriter {
 /// multi-million-record logs never loads either into memory.
 class TraceLogStream {
  public:
+  /// Read and check the magic and header.  Header counts must be
+  /// integers in [0, 2^24] and the seed non-negative; false (with the
+  /// reason in `error`) otherwise.
   bool open(const std::string& path, std::string* error = nullptr);
 
   const TraceLogHeader& header() const { return header_; }
   const std::string& header_json() const { return header_json_; }
 
   /// 1: a record was decoded into *out.  0: clean end of file.
-  /// -1: truncated or malformed input (`error` gets the reason).
+  /// -1: truncated or malformed input, or a record whose kind or
+  /// process ids fall outside the header's ranges (`error` gets the
+  /// reason, naming the record's index).
   int next(TraceLogRecord* out, std::string* error = nullptr);
 
  private:
   std::ifstream in_;
   TraceLogHeader header_;
   std::string header_json_;
+  std::uint64_t records_read_ = 0;
 };
 
 /// A fully loaded log: header plus every record in log order, with the
@@ -183,7 +189,8 @@ struct LoadedTraceLog {
 
 /// Read a whole log.  `max_records` > 0 stops after that many records
 /// (the bisector loads only the prefix up to the divergence); 0 loads
-/// everything.  nullopt on I/O or format errors.
+/// everything.  nullopt on I/O or format errors, including the range
+/// checks of TraceLogStream::open/next.
 std::optional<LoadedTraceLog> load_tracelog(const std::string& path,
                                             std::string* error = nullptr,
                                             std::size_t max_records = 0);

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <array>
 #include <cstdio>
-#include <deque>
 #include <map>
 
 #include "src/obs/json.hpp"
@@ -126,43 +125,28 @@ QueryOutput query_error(std::string_view subcommand, const std::string& error,
 
 }  // namespace
 
-TraceLogIndex TraceLogIndex::build(const LoadedTraceLog& log,
-                                   std::size_t dense_limit) {
+TraceLogIndex TraceLogIndex::build(const LoadedTraceLog& log) {
   TraceLogIndex index;
   index.log_ = &log;
   const std::size_t n = log.events.size();
-  index.succ_.resize(n);
   index.pred_.resize(n);
   std::map<ProcessId, std::uint32_t> last_at;
   std::map<MessageId, std::uint32_t> send_of;
-  const auto add_edge = [&index](std::uint32_t from, std::uint32_t to) {
-    index.succ_[from].push_back(to);
-    index.pred_[to].push_back(from);
-  };
   for (std::size_t i = 0; i < n; ++i) {
     const TraceLogRecord& rec = log.records[log.events[i]];
     const auto ei = static_cast<std::uint32_t>(i);
     if (const auto it = last_at.find(rec.process); it != last_at.end()) {
-      add_edge(it->second, ei);
+      index.pred_[i].push_back(it->second);
     }
     last_at[rec.process] = ei;
     if (rec.event.kind == EventKind::kSend) {
       send_of[rec.event.msg] = ei;
     } else if (rec.event.kind == EventKind::kReceive) {
+      // Only a send already seen: an edge never points backwards.
       if (const auto it = send_of.find(rec.event.msg); it != send_of.end()) {
-        add_edge(it->second, ei);
+        index.pred_[i].push_back(it->second);
       }
     }
-  }
-  if (n > 0 && n <= dense_limit) {
-    index.dense_ = true;
-    BitMatrix m(n);
-    for (std::size_t i = 0; i < n; ++i) {
-      for (const std::uint32_t j : index.succ_[i]) m.set(i, j);
-    }
-    m.transitive_closure();
-    index.ancestors_ = m.transposed();
-    index.descendants_ = std::move(m);
   }
   return index;
 }
@@ -176,44 +160,36 @@ std::optional<std::size_t> TraceLogIndex::find_event(MessageId msg,
   return std::nullopt;
 }
 
-std::vector<std::size_t> TraceLogIndex::bfs(std::size_t ev,
-                                            bool forward) const {
-  const auto& adj = forward ? succ_ : pred_;
-  std::vector<char> seen(event_count(), 0);
-  std::deque<std::size_t> frontier{ev};
-  seen[ev] = 1;
-  std::vector<std::size_t> out;
-  while (!frontier.empty()) {
-    const std::size_t cur = frontier.front();
-    frontier.pop_front();
-    out.push_back(cur);
-    for (const std::uint32_t nxt : adj[cur]) {
-      if (seen[nxt] == 0) {
-        seen[nxt] = 1;
-        frontier.push_back(nxt);
-      }
-    }
-  }
-  std::sort(out.begin(), out.end());
-  return out;
-}
-
 std::vector<std::size_t> TraceLogIndex::causal_past(std::size_t ev) const {
-  if (!dense_) return bfs(ev, false);
+  // Predecessors sit below their event, so walking down from the anchor
+  // reaches an event only after every cone member above it has marked
+  // it.
+  std::vector<char> in_cone(ev + 1, 0);
+  in_cone[ev] = 1;
   std::vector<std::size_t> out;
-  ancestors_.for_each_set(ev, [&out](std::size_t j) { out.push_back(j); });
-  if (!std::binary_search(out.begin(), out.end(), ev)) {
-    out.insert(std::upper_bound(out.begin(), out.end(), ev), ev);
+  for (std::size_t i = ev + 1; i-- > 0;) {
+    if (in_cone[i] == 0) continue;
+    out.push_back(i);
+    for (const std::uint32_t p : pred_[i]) in_cone[p] = 1;
   }
+  std::reverse(out.begin(), out.end());
   return out;
 }
 
 std::vector<std::size_t> TraceLogIndex::causal_future(std::size_t ev) const {
-  if (!dense_) return bfs(ev, true);
-  std::vector<std::size_t> out;
-  descendants_.for_each_set(ev, [&out](std::size_t j) { out.push_back(j); });
-  if (!std::binary_search(out.begin(), out.end(), ev)) {
-    out.insert(std::upper_bound(out.begin(), out.end(), ev), ev);
+  // The mirror sweep upwards: an event is in the future cone iff one of
+  // its direct predecessors is, and those were all decided before it.
+  std::vector<char> in_cone(event_count() - ev, 0);
+  in_cone[0] = 1;
+  std::vector<std::size_t> out = {ev};
+  for (std::size_t i = ev + 1; i < event_count(); ++i) {
+    for (const std::uint32_t p : pred_[i]) {
+      if (p >= ev && in_cone[p - ev] != 0) {
+        in_cone[i - ev] = 1;
+        out.push_back(i);
+        break;
+      }
+    }
   }
   return out;
 }
@@ -224,17 +200,15 @@ CutResult cut_at(const TraceLogIndex& index, SimTime t) {
   cut.at = t;
   std::size_t n_processes = log.header.n_processes;
   for (std::size_t i = 0; i < index.event_count(); ++i) {
-    n_processes = std::max<std::size_t>(n_processes, index.event(i).process + 1);
+    n_processes = std::max(n_processes,
+                           std::size_t{index.event(i).process} + 1);
   }
   cut.frontier.assign(n_processes, std::nullopt);
-  std::map<MessageId, SimTime> sent_at;
-  std::map<MessageId, SimTime> received_at;
+  // received[s] marks a send whose receive is in the cut, found through
+  // the receive's channel edge.
+  std::vector<char> received(index.event_count(), 0);
   for (std::size_t i = 0; i < index.event_count(); ++i) {
     const TraceLogRecord& rec = index.event(i);
-    if (rec.event.kind == EventKind::kSend) sent_at[rec.event.msg] = rec.time;
-    if (rec.event.kind == EventKind::kReceive) {
-      received_at[rec.event.msg] = rec.time;
-    }
     if (rec.time > t) continue;
     ++cut.events_in_cut;
     cut.frontier[rec.process] = i;
@@ -242,16 +216,26 @@ CutResult cut_at(const TraceLogIndex& index, SimTime t) {
     // backwards; verify against the direct predecessors rather than
     // assuming the writer ordered times correctly.
     for (const std::uint32_t p : index.preds(i)) {
-      if (index.event(p).time > t) cut.consistent = false;
+      const TraceLogRecord& pred = index.event(p);
+      if (pred.time > t) cut.consistent = false;
+      if (rec.event.kind == EventKind::kReceive &&
+          pred.event.kind == EventKind::kSend &&
+          pred.event.msg == rec.event.msg) {
+        received[p] = 1;
+      }
     }
   }
-  for (const auto& [msg, send_time] : sent_at) {
-    if (send_time > t) continue;
-    const auto it = received_at.find(msg);
-    if (it == received_at.end() || it->second > t) {
-      cut.in_flight.push_back(msg);
+  for (std::size_t i = 0; i < index.event_count(); ++i) {
+    const TraceLogRecord& rec = index.event(i);
+    if (rec.event.kind == EventKind::kSend && rec.time <= t &&
+        received[i] == 0) {
+      cut.in_flight.push_back(rec.event.msg);
     }
   }
+  std::sort(cut.in_flight.begin(), cut.in_flight.end());
+  cut.in_flight.erase(
+      std::unique(cut.in_flight.begin(), cut.in_flight.end()),
+      cut.in_flight.end());
   return cut;
 }
 

@@ -1,11 +1,12 @@
 // Index + query engine over a causal trace log (ISSUE 9): the loaded
 // log's event records become a poset — per-process program order plus
 // the send -> receive channel edge of every message — and the queries
-// are reachability questions on it, answered the same way the checker
-// answers them: dense BitMatrix transitive closure with transposed
-// ancestor rows (src/util/bitmatrix.hpp, the WitnessEngine idiom) when
-// the event count is small enough, plain BFS over the adjacency lists
-// beyond that.
+// are reachability questions on it.  Every edge the index adds goes
+// forward in log order: program order links a process's previous event
+// to its next one, and a channel edge is added only when the send was
+// already seen.  Log order is therefore a topological order of the
+// poset, so each cone is one linear sweep from the anchor over the
+// direct predecessors — no closure, no n^2 memory.
 //
 // Four query families, each with a text and a msgorder.query/1 JSON
 // rendering shared by tools/msgorder_query.cpp and the golden tests:
@@ -27,7 +28,6 @@
 #include <vector>
 
 #include "src/obs/tracelog.hpp"
-#include "src/util/bitmatrix.hpp"
 
 namespace msgorder {
 
@@ -36,15 +36,12 @@ namespace msgorder {
 /// pointer to the log: the log must outlive the index.
 class TraceLogIndex {
  public:
-  /// Build program-order + channel edges; close them densely via
-  /// BitMatrix when the event count is <= dense_limit (0 forces BFS —
-  /// the tests use that to prove both paths agree).
-  static TraceLogIndex build(const LoadedTraceLog& log,
-                             std::size_t dense_limit = 16384);
+  /// Build the program-order and channel edges, in one pass over the
+  /// log.
+  static TraceLogIndex build(const LoadedTraceLog& log);
 
   const LoadedTraceLog& log() const { return *log_; }
-  std::size_t event_count() const { return succ_.size(); }
-  bool dense() const { return dense_; }
+  std::size_t event_count() const { return pred_.size(); }
   const TraceLogRecord& event(std::size_t ev) const {
     return log_->records[log_->events[ev]];
   }
@@ -53,25 +50,20 @@ class TraceLogIndex {
   std::optional<std::size_t> find_event(MessageId msg, EventKind kind) const;
 
   /// Causal past/future cone of an event, anchor included, ascending
-  /// event-index (== log) order.
+  /// event-index (== log) order.  One sweep from the anchor towards the
+  /// start (past) or the end (future) of the log.
   std::vector<std::size_t> causal_past(std::size_t ev) const;
   std::vector<std::size_t> causal_future(std::size_t ev) const;
 
   /// Direct causal predecessors of an event (program-order parent and,
-  /// for a receive, the matching send).
+  /// for a receive, the matching send); each is below `ev`.
   const std::vector<std::uint32_t>& preds(std::size_t ev) const {
     return pred_[ev];
   }
 
  private:
-  std::vector<std::size_t> bfs(std::size_t ev, bool forward) const;
-
   const LoadedTraceLog* log_ = nullptr;
-  std::vector<std::vector<std::uint32_t>> succ_;
   std::vector<std::vector<std::uint32_t>> pred_;
-  bool dense_ = false;
-  BitMatrix descendants_;  // closed reachability, row = descendant set
-  BitMatrix ancestors_;    // its transpose, row = ancestor set
 };
 
 /// The consistent cut at time t.
@@ -85,7 +77,9 @@ struct CutResult {
   /// Per process: the last event at or before t, if any.
   std::vector<std::optional<std::size_t>> frontier;
   /// Messages whose send happened at or before t but whose receive
-  /// (x.r*) is after t or missing: the channel contents across the cut.
+  /// (x.r*) is after t or missing: the channel contents across the cut,
+  /// ascending.  A receive counts through its channel edge, so one
+  /// logged before its send leaves the message in flight.
   std::vector<MessageId> in_flight;
 };
 

@@ -1,12 +1,16 @@
 // Tests for the trace-log index + query engine (ISSUE 9): causal cones
-// against a brute-force reachability check, dense BitMatrix vs BFS
-// parity, consistent cuts, why-blocked chains on a token protocol, the
-// run-divergence bisector on identical and deliberately perturbed runs,
-// and the msgorder_query subcommand renderings the CI smoke tests grep.
+// against a dense BitMatrix closure and a brute-force reachability
+// check, cones and cuts on a large log and on a receive logged before
+// its send, hostile log files, consistent cuts, why-blocked chains on a
+// token protocol, the run-divergence bisector on identical and
+// deliberately perturbed runs, and the msgorder_query subcommand
+// renderings the CI smoke tests grep.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
 #include <cstdio>
+#include <map>
 #include <optional>
 #include <set>
 #include <string>
@@ -18,6 +22,7 @@
 #include "src/protocols/fifo.hpp"
 #include "src/protocols/sync_token.hpp"
 #include "src/sim/simulator.hpp"
+#include "src/util/bitmatrix.hpp"
 
 namespace msgorder {
 namespace {
@@ -102,46 +107,207 @@ bool reaches(const TraceLogIndex& index, std::size_t from, std::size_t to) {
   return false;
 }
 
-TEST(TraceLogIndex, ConesMatchBruteForceAndBfsMatchesDense) {
+TEST(TraceLogIndex, ConesMatchBruteForceAndClosureAtEveryAnchor) {
   const Fixture fx = record_sync_token("index_fixture.tracelog");
   ASSERT_FALSE(fx.log.events.empty());
-  const TraceLogIndex dense = TraceLogIndex::build(fx.log);
-  // dense_limit 0 forces the BFS path on the same log.
-  const TraceLogIndex sparse = TraceLogIndex::build(fx.log, 0);
-  ASSERT_TRUE(dense.dense());
-  ASSERT_FALSE(sparse.dense());
-  ASSERT_EQ(dense.event_count(), sparse.event_count());
+  const TraceLogIndex index = TraceLogIndex::build(fx.log);
+  const std::size_t n = index.event_count();
+  ASSERT_EQ(n, fx.log.events.size());
 
-  // Both paths agree on every anchor; spot-check a few against the
-  // brute force (it is quadratic, so sample).
-  for (std::size_t ev = 0; ev < dense.event_count();
-       ev += dense.event_count() / 17 + 1) {
-    const auto past_d = dense.causal_past(ev);
-    const auto past_s = sparse.causal_past(ev);
-    EXPECT_EQ(past_d, past_s) << "past of " << ev;
-    const auto fut_d = dense.causal_future(ev);
-    const auto fut_s = sparse.causal_future(ev);
-    EXPECT_EQ(fut_d, fut_s) << "future of " << ev;
-    // The anchor is a member of both of its own cones.
-    EXPECT_TRUE(std::find(past_d.begin(), past_d.end(), ev) != past_d.end());
-    EXPECT_TRUE(std::find(fut_d.begin(), fut_d.end(), ev) != fut_d.end());
-    for (const std::size_t p : past_d) {
-      EXPECT_TRUE(reaches(dense, p, ev))
-          << p << " not an ancestor of " << ev;
+  // Reference: the dense transitive closure of the index's own direct
+  // edges.  Every anchor's past and future cone must equal its column
+  // and row of the closure, anchor included, in ascending order.
+  BitMatrix reach(n);
+  for (std::size_t to = 0; to < n; ++to) {
+    for (const std::uint32_t from : index.preds(to)) reach.set(from, to);
+  }
+  reach.transitive_closure();
+  for (std::size_t ev = 0; ev < n; ++ev) {
+    std::vector<std::size_t> past;
+    std::vector<std::size_t> future;
+    for (std::size_t j = 0; j < n; ++j) {
+      if (j == ev || reach.get(j, ev)) past.push_back(j);
+      if (j == ev || reach.get(ev, j)) future.push_back(j);
+    }
+    EXPECT_EQ(index.causal_past(ev), past) << "past of " << ev;
+    EXPECT_EQ(index.causal_future(ev), future) << "future of " << ev;
+  }
+
+  // The edges themselves are checked against a brute force that
+  // recomputes them from the records; it is quadratic, so sample.
+  for (std::size_t ev = 0; ev < n; ev += n / 17 + 1) {
+    for (const std::size_t p : index.causal_past(ev)) {
+      EXPECT_TRUE(reaches(index, p, ev)) << p << " not an ancestor of " << ev;
     }
   }
 
   // Exhaustive pairwise check on a small prefix.
-  const std::size_t n = std::min<std::size_t>(dense.event_count(), 40);
-  for (std::size_t a = 0; a < n; ++a) {
-    const auto past = dense.causal_past(a);
-    for (std::size_t b = 0; b < n; ++b) {
+  const std::size_t prefix = std::min<std::size_t>(n, 40);
+  for (std::size_t a = 0; a < prefix; ++a) {
+    const auto past = index.causal_past(a);
+    for (std::size_t b = 0; b < prefix; ++b) {
       const bool in_cone =
           std::find(past.begin(), past.end(), b) != past.end();
-      EXPECT_EQ(in_cone, reaches(dense, b, a))
+      EXPECT_EQ(in_cone, reaches(index, b, a))
           << "cone membership of " << b << " in past(" << a << ")";
     }
   }
+}
+
+/// Per-anchor DFS: the reference cone for logs too large for a dense
+/// closure.  `next(ev)` lists the events one edge away from ev.
+template <typename Next>
+std::vector<std::size_t> dfs_cone(std::size_t n, std::size_t from,
+                                  const Next& next) {
+  std::vector<char> seen(n, 0);
+  std::vector<std::size_t> stack = {from};
+  seen[from] = 1;
+  std::vector<std::size_t> out;
+  while (!stack.empty()) {
+    const std::size_t ev = stack.back();
+    stack.pop_back();
+    out.push_back(ev);
+    for (const std::uint32_t other : next(ev)) {
+      if (seen[other] == 0) {
+        seen[other] = 1;
+        stack.push_back(other);
+      }
+    }
+  }
+  std::sort(out.begin(), out.end());
+  return out;
+}
+
+// An 18000-event log, past the size where a dense closure pays: cones
+// match a per-anchor DFS and cuts account for exactly the messages
+// straddling them.
+TEST(TraceLogIndex, LargeFifoLogConesAndCutsMatchReference) {
+  Rng rng(77);
+  WorkloadOptions wopts;
+  wopts.n_processes = 6;
+  wopts.n_messages = 4500;
+  wopts.mean_gap = 0.2;
+  const Workload workload = random_workload(wopts, rng);
+  const std::string path = temp_path("large_fifo.tracelog");
+  {
+    ObservabilityOptions oopts;
+    oopts.tracelog = path;
+    Observability obs(oopts);
+    SimOptions sopts;
+    sopts.seed = 5;
+    sopts.network.jitter_mean = 2.0;
+    sopts.observability = &obs;
+    const SimResult result =
+        simulate(workload, FifoProtocol::factory(), 6, sopts);
+    ASSERT_TRUE(result.completed) << result.error;
+  }
+  std::string error;
+  const auto log = load_tracelog(path, &error);
+  ASSERT_TRUE(log.has_value()) << error;
+  const TraceLogIndex index = TraceLogIndex::build(*log);
+  const std::size_t n = index.event_count();
+  ASSERT_EQ(n, 4 * wopts.n_messages);
+  ASSERT_GT(n, 16384u);
+
+  std::multimap<std::size_t, std::uint32_t> succs;
+  for (std::size_t to = 0; to < n; ++to) {
+    for (const std::uint32_t from : index.preds(to)) {
+      ASSERT_LT(from, to) << "edge against log order";
+      succs.emplace(from, static_cast<std::uint32_t>(to));
+    }
+  }
+  const auto preds_of = [&index](std::size_t ev) { return index.preds(ev); };
+  const auto succs_of = [&succs](std::size_t ev) {
+    std::vector<std::uint32_t> out;
+    const auto [lo, hi] = succs.equal_range(ev);
+    for (auto it = lo; it != hi; ++it) out.push_back(it->second);
+    return out;
+  };
+  for (std::size_t ev = 0; ev < n; ev += n / 23 + 1) {
+    EXPECT_EQ(index.causal_past(ev), dfs_cone(n, ev, preds_of))
+        << "past of " << ev;
+    EXPECT_EQ(index.causal_future(ev), dfs_cone(n, ev, succs_of))
+        << "future of " << ev;
+  }
+
+  // in_flight against the raw send/receive times.
+  std::map<MessageId, SimTime> sent_at;
+  std::map<MessageId, SimTime> received_at;
+  for (std::size_t i = 0; i < n; ++i) {
+    const TraceLogRecord& rec = index.event(i);
+    if (rec.event.kind == EventKind::kSend) sent_at[rec.event.msg] = rec.time;
+    if (rec.event.kind == EventKind::kReceive) {
+      received_at[rec.event.msg] = rec.time;
+    }
+  }
+  ASSERT_EQ(sent_at.size(), wopts.n_messages);
+  const SimTime end = index.event(n - 1).time;
+  bool straddled = false;
+  for (int k = 1; k <= 7; ++k) {
+    const SimTime t = end * k / 8;
+    const CutResult cut = cut_at(index, t);
+    std::vector<MessageId> expected;
+    for (const auto& [msg, send_time] : sent_at) {
+      if (send_time <= t && received_at.at(msg) > t) expected.push_back(msg);
+    }
+    EXPECT_TRUE(cut.consistent) << "cut at " << t;
+    EXPECT_EQ(cut.in_flight, expected) << "cut at " << t;
+    straddled = straddled || !expected.empty();
+  }
+  EXPECT_TRUE(straddled) << "no cut had a message in flight";
+  std::remove(path.c_str());
+}
+
+// Log order is a topological order of the index's edges only because a
+// channel edge is added when the send was already seen.  A receive
+// logged before its send gets no backward edge, and the cones and cuts
+// around it stay well defined.
+TEST(TraceLogIndex, ReceiveLoggedBeforeItsSendGetsNoBackwardEdge) {
+  const auto event = [](ProcessId p, MessageId msg, EventKind kind,
+                        SimTime t) {
+    TraceLogRecord rec;
+    rec.type = TraceLogRecord::Type::kEvent;
+    rec.event = {msg, kind};
+    rec.process = p;
+    rec.peer = 1 - p;
+    rec.time = t;
+    return rec;
+  };
+  LoadedTraceLog log;
+  log.header.n_processes = 2;
+  log.records = {event(0, 0, EventKind::kInvoke, 0.0),
+                 event(1, 0, EventKind::kReceive, 1.0),
+                 event(0, 0, EventKind::kSend, 2.0),
+                 event(1, 0, EventKind::kDeliver, 3.0)};
+  log.events = {0, 1, 2, 3};
+  const TraceLogIndex index = TraceLogIndex::build(log);
+  ASSERT_EQ(index.event_count(), 4u);
+
+  EXPECT_TRUE(index.preds(0).empty());
+  EXPECT_TRUE(index.preds(1).empty());  // no send seen yet: no edge
+  EXPECT_EQ(index.preds(2), std::vector<std::uint32_t>{0});
+  EXPECT_EQ(index.preds(3), std::vector<std::uint32_t>{1});
+
+  using Cone = std::vector<std::size_t>;
+  EXPECT_EQ(index.causal_past(1), Cone{1});
+  EXPECT_EQ(index.causal_past(3), (Cone{1, 3}));
+  EXPECT_EQ(index.causal_future(0), (Cone{0, 2}));
+  EXPECT_EQ(index.causal_future(2), Cone{2});
+
+  // Before the send: the receive is in the cut, nothing is in flight.
+  const CutResult early = cut_at(index, 1.5);
+  EXPECT_TRUE(early.consistent);
+  EXPECT_EQ(early.events_in_cut, 2u);
+  ASSERT_EQ(early.frontier.size(), 2u);
+  EXPECT_EQ(early.frontier[0], std::optional<std::size_t>(0));
+  EXPECT_EQ(early.frontier[1], std::optional<std::size_t>(1));
+  EXPECT_TRUE(early.in_flight.empty());
+  // After the send: no receive follows it through a channel edge, so
+  // the message counts as in flight until the end of the log.
+  const CutResult late = cut_at(index, 2.5);
+  EXPECT_TRUE(late.consistent);
+  EXPECT_EQ(late.events_in_cut, 3u);
+  EXPECT_EQ(late.in_flight, std::vector<MessageId>{0});
 }
 
 TEST(TraceLogIndex, SendReceiveEdgeAndLamportAgree) {
@@ -382,6 +548,176 @@ TEST(Diverge, MismatchedSetupsWarnAndMissingFilesError) {
 
   std::remove(a.path.c_str());
   std::remove(b_path.c_str());
+}
+
+/// Little-endian encoders for hand-made log files.
+void put_le(std::string& out, std::uint64_t v, int bytes) {
+  for (int i = 0; i < bytes; ++i) {
+    out.push_back(static_cast<char>((v >> (8 * i)) & 0xff));
+  }
+}
+
+/// An event record payload (format in src/obs/tracelog.hpp).
+std::string event_payload(std::uint8_t kind, std::uint32_t msg,
+                          std::uint32_t process, std::uint32_t peer) {
+  std::string p;
+  put_le(p, 0, 1);  // type: event
+  put_le(p, kind, 1);
+  put_le(p, msg, 4);
+  put_le(p, process, 4);
+  put_le(p, peer, 4);
+  put_le(p, 0, 4);                      // color
+  put_le(p, 0x3ff0000000000000ULL, 8);  // time 1.0
+  put_le(p, 0, 8);                      // tiebreak
+  put_le(p, 1, 8);                      // lamport
+  return p;
+}
+
+/// A hold record payload.
+std::string hold_payload(std::uint8_t kind, std::uint32_t msg,
+                         std::uint32_t process) {
+  std::string p;
+  put_le(p, 1, 1);  // type: hold
+  put_le(p, kind, 1);
+  put_le(p, 0, 1);  // flags: no blocking refs
+  put_le(p, msg, 4);
+  put_le(p, process, 4);
+  put_le(p, 0, 4);
+  put_le(p, 0, 4);
+  put_le(p, 0x3ff0000000000000ULL, 8);
+  put_le(p, 0, 8);
+  return p;
+}
+
+/// Write magic, a header built from `header_fields` (a JSON object's
+/// inner text after the schema), and the given record payloads.
+std::string write_raw_log(const std::string& name,
+                          const std::string& header_fields,
+                          const std::vector<std::string>& payloads) {
+  const std::string header =
+      "{\"schema\":\"msgorder.tracelog/1\",\"engine\":\"sequential\"" +
+      header_fields + "}";
+  std::string bytes = "MOTLOG1\n";
+  put_le(bytes, header.size(), 4);
+  bytes += header;
+  for (const std::string& p : payloads) {
+    put_le(bytes, p.size(), 4);
+    bytes += p;
+  }
+  const std::string path = temp_path(name);
+  std::FILE* f = std::fopen(path.c_str(), "wb");
+  EXPECT_NE(f, nullptr);
+  if (f != nullptr) {
+    std::fwrite(bytes.data(), 1, bytes.size(), f);
+    std::fclose(f);
+  }
+  return path;
+}
+
+constexpr const char* kTwoProcs =
+    ",\"n_processes\":2,\"n_messages\":1,\"seed\":7";
+
+// A well-formed hand-made log loads, so the rejections below are about
+// the one field each case corrupts.
+TEST(HostileTraceLog, WellFormedHandMadeLogLoads) {
+  const std::string path = write_raw_log(
+      "hostile_ok.tracelog", kTwoProcs,
+      {event_payload(0, 0, 0, 1), event_payload(1, 0, 0, 1),
+       hold_payload(1, 0, 1), event_payload(2, 0, 1, 0),
+       event_payload(3, 0, 1, 0)});
+  std::string error;
+  const auto log = load_tracelog(path, &error);
+  ASSERT_TRUE(log.has_value()) << error;
+  EXPECT_EQ(log->events.size(), 4u);
+  EXPECT_EQ(query_cut(path, 1.0).exit_code, 0);
+  std::remove(path.c_str());
+}
+
+// Record fields that later index per-process or per-kind tables are
+// range-checked by the reader.  Each file must fail to load with an
+// error naming the field, and `msgorder_query cut` on it exits 2.  The
+// load is asserted first: on a reader that accepted these files the cut
+// would size its frontier from the hostile process id.
+TEST(HostileTraceLog, OutOfRangeRecordFieldsAreRejected) {
+  struct Case {
+    const char* name;
+    std::string payload;
+    const char* field;
+  };
+  const std::vector<Case> cases = {
+      {"process", event_payload(1, 0, 0xFFFFFFFFu, 1), "process"},
+      {"process_eq_n", event_payload(1, 0, 2, 1), "process"},
+      {"peer", event_payload(1, 0, 0, 2), "peer"},
+      {"event_kind", event_payload(4, 0, 0, 1), "kind"},
+      {"event_kind_max", event_payload(0xFF, 0, 0, 1), "kind"},
+      {"hold_kind", hold_payload(7, 0, 1), "kind"},
+      {"hold_process", hold_payload(1, 0, 5), "process"},
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.name);
+    const std::string path =
+        write_raw_log(std::string("hostile_") + c.name + ".tracelog",
+                      kTwoProcs, {event_payload(0, 0, 0, 1), c.payload});
+    std::string error;
+    const auto log = load_tracelog(path, &error);
+    ASSERT_FALSE(log.has_value());
+    EXPECT_NE(error.find(c.field), std::string::npos) << error;
+    EXPECT_NE(error.find("record 1"), std::string::npos) << error;
+    // The streaming reader (diverge's input) rejects it the same way.
+    TraceLogStream stream;
+    ASSERT_TRUE(stream.open(path, &error)) << error;
+    TraceLogRecord rec;
+    EXPECT_EQ(stream.next(&rec, &error), 1) << error;
+    EXPECT_EQ(stream.next(&rec, &error), -1);
+    const QueryOutput cut = query_cut(path, 1.0);
+    EXPECT_EQ(cut.exit_code, 2);
+    EXPECT_NE(cut.json.find("\"error\""), std::string::npos) << cut.json;
+    EXPECT_EQ(query_summary(path).exit_code, 2);
+    EXPECT_EQ(query_diverge(path, path, 12).exit_code, 2);
+    std::remove(path.c_str());
+  }
+}
+
+// Header counts are JSON doubles; only finite non-negative integers up
+// to 2^24 become sizes.
+TEST(HostileTraceLog, HeaderCountsMustBeSmallNonNegativeIntegers) {
+  const std::vector<std::string> bad_values = {
+      "-1", "1.5", "1e300", "1e999", "-1e300", "16777217", "4294967296"};
+  for (const char* field :
+       {"n_processes", "n_messages", "shards", "workers"}) {
+    for (const std::string& value : bad_values) {
+      SCOPED_TRACE(std::string(field) + "=" + value);
+      const std::string path = write_raw_log(
+          "hostile_header.tracelog",
+          std::string(",\"") + field + "\":" + value, {});
+      std::string error;
+      const auto log = load_tracelog(path, &error);
+      ASSERT_FALSE(log.has_value());
+      EXPECT_NE(error.find(field), std::string::npos) << error;
+      EXPECT_EQ(query_cut(path, 1.0).exit_code, 2);
+      std::remove(path.c_str());
+    }
+  }
+  // A negative or non-finite seed is rejected too.
+  for (const std::string value : {"-3", "-1e300", "1e999"}) {
+    const std::string path = write_raw_log(
+        "hostile_seed.tracelog", ",\"n_processes\":2,\"seed\":" + value, {});
+    std::string error;
+    EXPECT_FALSE(load_tracelog(path, &error).has_value()) << value;
+    EXPECT_NE(error.find("seed"), std::string::npos) << error;
+    std::remove(path.c_str());
+  }
+  // The bound itself is accepted, and absent counts keep their defaults.
+  const std::string path = write_raw_log(
+      "hostile_bound.tracelog",
+      ",\"n_processes\":16777216,\"n_messages\":0,\"shards\":16777216", {});
+  std::string error;
+  const auto log = load_tracelog(path, &error);
+  ASSERT_TRUE(log.has_value()) << error;
+  EXPECT_EQ(log->header.n_processes, 16777216u);
+  EXPECT_EQ(log->header.shards, 16777216u);
+  EXPECT_EQ(log->header.workers, 1u);
+  std::remove(path.c_str());
 }
 
 }  // namespace
